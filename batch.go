@@ -139,7 +139,8 @@ func (b *Batch) SendRef(from, to, target *BatchRef) {
 	}, false)
 }
 
-// AddRef stages storing target into a new slot of holder's object.
+// AddRef stages storing target into a free slot of holder's object:
+// the lowest-index cleared slot, or a new one when none is free.
 func (b *Batch) AddRef(holder, target *BatchRef) {
 	href, hfrom := b.arg(holder)
 	tref, tfrom := b.arg(target)
@@ -160,7 +161,10 @@ func (b *Batch) DropRefs(holder, target *BatchRef) {
 	}, false)
 }
 
-// ClearSlot stages dropping one slot of holder's object.
+// ClearSlot stages dropping one slot of holder's object. Indices follow
+// Node.ClearSlot's reuse rule, applied op by op: a slot an earlier op
+// of the same batch cleared is the first a later AddRef or create
+// under the same holder fills.
 func (b *Batch) ClearSlot(holder *BatchRef, slot int) {
 	href, hfrom := b.arg(holder)
 	b.stage(wire.BatchOp{

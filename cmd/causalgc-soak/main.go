@@ -18,7 +18,10 @@
 //     back to zero and no hard-cap backstop ever fired — on a sharded
 //     run (-shards) per shard and in aggregate, with every cross-shard
 //     handoff queue empty;
-//   - every WAL fsync stayed within the latency budget.
+//   - every WAL fsync stayed within the latency budget;
+//   - memory is flat: the heap's reference slots per live object stay
+//     under maxSlotsPerObject, so slot arrays track live references
+//     rather than every reference a holder ever held.
 //
 // Any violation dumps the per-site structured event traces and exits
 // non-zero.
@@ -48,6 +51,13 @@ import (
 	"causalgc/monitor"
 	"causalgc/transport"
 )
+
+// maxSlotsPerObject bounds the total reference slots (holes included)
+// per live object at quiescence. Slot reuse keeps a holder's slot array
+// no longer than the most references it held at once: runs of 20-60 s
+// end at 1.5-1.6. An append-only slot array grows with every reference
+// a holder ever stored and ends the same runs at 3.2-3.6.
+const maxSlotsPerObject = 2.5
 
 func main() {
 	cfg := soakConfig{}
@@ -112,6 +122,8 @@ type summary struct {
 	ScrapeErrors    int64    `json:"scrape_errors"`
 	QuiesceRounds   int      `json:"quiesce_rounds"`
 	Live            int      `json:"live"`
+	Slots           int      `json:"slots"`
+	SlotsPerObject  float64  `json:"slots_per_object"`
 	Residual        int      `json:"residual"`
 	Dangling        int      `json:"dangling"`
 	Violations      []string `json:"violations"`
@@ -230,8 +242,8 @@ func run(cfg soakConfig) (summary, error) {
 	s.sum.Violations = s.violations
 	s.sum.Pass = len(s.violations) == 0
 	if s.sum.Pass {
-		fmt.Printf("soak PASS: %d ops, %d partitions, %d restart(s), %d scrapes, steady state in %d round(s)\n",
-			s.sum.Ops, s.sum.Partitions, s.sum.Restarts, s.sum.Scrapes, s.sum.QuiesceRounds)
+		fmt.Printf("soak PASS: %d ops, %d partitions, %d restart(s), %d scrapes, steady state in %d round(s), %.2f slots per live object\n",
+			s.sum.Ops, s.sum.Partitions, s.sum.Restarts, s.sum.Scrapes, s.sum.QuiesceRounds, s.sum.SlotsPerObject)
 		return s.sum, nil
 	}
 	fmt.Printf("soak FAIL: %d violation(s)\n", len(s.violations))
@@ -502,6 +514,20 @@ func (s *soak) quiescePhase() {
 	}
 	if len(rep.Garbage) > 0 {
 		s.violationf("%d residual garbage object(s) after quiescent refresh: %v", len(rep.Garbage), rep.Garbage)
+	}
+
+	objects := 0
+	for _, m := range s.mons {
+		snap := m.Snapshot()
+		objects += snap.Objects
+		s.sum.Slots += snap.Slots
+	}
+	if objects > 0 {
+		s.sum.SlotsPerObject = float64(s.sum.Slots) / float64(objects)
+	}
+	if s.sum.SlotsPerObject > maxSlotsPerObject {
+		s.violationf("memory not flat: %d heap slots over %d live objects (%.2f per object, bound %.1f)",
+			s.sum.Slots, objects, s.sum.SlotsPerObject, maxSlotsPerObject)
 	}
 
 	for i, m := range s.mons {

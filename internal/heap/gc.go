@@ -1,6 +1,10 @@
 package heap
 
-import "causalgc/internal/ids"
+import (
+	"slices"
+
+	"causalgc/internal/ids"
+)
 
 // CollectStats reports one local collection.
 type CollectStats struct {
@@ -16,11 +20,15 @@ type CollectStats struct {
 // Collect runs one per-site mark-sweep collection (§2.1): the root set is
 // the union of the site's local roots (the root cluster's objects) and the
 // global roots (every entry object of a cluster not yet removed by GGD).
-// Unreachable objects are reclaimed; their dropped references perform edge
-// accounting, so collecting the last proxy for a remote cluster emits an
-// edge-destruction notification through Hooks (§3.4: "an edge-destruction
-// control message is sent by the local garbage collector when the proxy
-// for that remote object is collected").
+// Marking never enters a GGD-removed cluster: the global verdict already
+// proved its objects garbage, so a stale local reference into one (a
+// mutator re-storing a reference it dropped earlier in the same batch)
+// cannot resurrect them. Unreachable objects are reclaimed; their
+// dropped references perform edge accounting, so collecting the last
+// proxy for a remote cluster emits an edge-destruction notification
+// through Hooks (§3.4: "an edge-destruction control message is sent by
+// the local garbage collector when the proxy for that remote object is
+// collected").
 //
 // Collection is independent of every other site — the decoupling of local
 // garbage collection from global garbage detection that the paper's §2
@@ -31,7 +39,7 @@ func (h *Heap) Collect() CollectStats {
 	// Mark.
 	var stack []*Object
 	push := func(o *Object) {
-		if o != nil && !o.marked {
+		if o != nil && !o.marked && !o.home.removed {
 			o.marked = true
 			stack = append(stack, o)
 		}
@@ -62,10 +70,12 @@ func (h *Heap) Collect() CollectStats {
 		}
 	}
 
-	// Sweep.
+	// Sweep, clearing the survivors' mark bits in the same pass.
 	var dead []*Object
 	for _, o := range h.objects {
-		if !o.marked {
+		if o.marked {
+			o.marked = false
+		} else {
 			dead = append(dead, o)
 		}
 	}
@@ -79,7 +89,7 @@ func (h *Heap) Collect() CollectStats {
 				h.refDropped(o, r)
 			}
 		}
-		c := h.clusters[o.cluster]
+		c := o.home
 		delete(c.objects, o.id)
 		delete(c.entries, o.id)
 		delete(h.objects, o.id)
@@ -92,11 +102,6 @@ func (h *Heap) Collect() CollectStats {
 			delete(h.clusters, c.id)
 		}
 		stats.Swept++
-	}
-
-	// Clear mark bits for the next cycle.
-	for _, o := range h.objects {
-		o.marked = false
 	}
 	return stats
 }
@@ -111,7 +116,7 @@ func (h *Heap) LocallyReachable(obj ids.ObjectID) bool {
 		if _, ok := seen[id]; ok {
 			return
 		}
-		if _, ok := h.objects[id]; !ok {
+		if o, ok := h.objects[id]; !ok || o.home.removed {
 			return
 		}
 		seen[id] = struct{}{}
@@ -147,9 +152,5 @@ func (h *Heap) LocallyReachable(obj ids.ObjectID) bool {
 }
 
 func sortObjectsByID(os []*Object) {
-	for i := 1; i < len(os); i++ {
-		for j := i; j > 0 && os[j].id.Less(os[j-1].id); j-- {
-			os[j], os[j-1] = os[j-1], os[j]
-		}
-	}
+	slices.SortFunc(os, func(a, b *Object) int { return a.id.Compare(b.id) })
 }

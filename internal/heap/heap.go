@@ -17,10 +17,21 @@
 // roots (Fig 1): they serve as local-GC roots until Global Garbage
 // Detection removes the whole cluster, at which point the entry table is
 // cleared and per-site mark-sweep reclaims the objects.
+//
+// Slot indices follow one rule, which depends only on an object's slot
+// contents and never on its history: AddRef stores into the
+// lowest-index NilRef hole and appends only when there is none;
+// clearing a slot (ClearSlot, DropRefs, SetSlot with NilRef) leaves a
+// hole and trims any trailing holes. The index of a live reference
+// never moves. Unless SetSlot stores at an explicit index past the
+// end, a holder's slot array is therefore never longer than the most
+// references it held at once; and a restored snapshot plus
+// journal replay hands out exactly the indices the live run did.
 package heap
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"causalgc/internal/ids"
@@ -116,18 +127,25 @@ var _ Hooks = NopHooks{}
 
 // Object is a vertex of the object graph: an ordered set of reference
 // slots. Objects are owned by exactly one cluster and never migrate.
+//
+// Slot indices are reused (see the package-level slot rule): holes
+// counts the NilRef slots below len(slots), and every slot below low is
+// set — low is only a search hint, so the index a new reference takes
+// depends on the slot contents alone.
 type Object struct {
-	id      ids.ObjectID
-	cluster ids.ClusterID
-	slots   []Ref
-	marked  bool // local GC mark bit
+	id     ids.ObjectID
+	home   *cluster
+	slots  []Ref
+	holes  int
+	low    int
+	marked bool // local GC mark bit
 }
 
 // ID returns the object identifier.
 func (o *Object) ID() ids.ObjectID { return o.id }
 
 // Cluster returns the owning cluster.
-func (o *Object) Cluster() ids.ClusterID { return o.cluster }
+func (o *Object) Cluster() ids.ClusterID { return o.home.id }
 
 // NumSlots returns the number of reference slots.
 func (o *Object) NumSlots() int { return len(o.slots) }
@@ -145,6 +163,85 @@ func (o *Object) Slots() []Ref {
 	out := make([]Ref, len(o.slots))
 	copy(out, o.slots)
 	return out
+}
+
+// Holds reports whether some slot of o holds exactly ref, without
+// copying the slot array. A hole never counts as holding NilRef.
+func (o *Object) Holds(ref Ref) bool {
+	if !ref.Valid() {
+		return false
+	}
+	for _, s := range o.slots {
+		if s == ref {
+			return true
+		}
+	}
+	return false
+}
+
+// fill stores ref in the lowest-index NilRef hole, appending a slot
+// only when there is none, and returns the index used.
+func (o *Object) fill(ref Ref) int {
+	if o.holes == 0 {
+		o.slots = append(o.slots, ref)
+		o.low = len(o.slots)
+		return len(o.slots) - 1
+	}
+	i := o.low
+	for o.slots[i].Valid() {
+		i++
+	}
+	o.slots[i] = ref
+	o.holes--
+	o.low = i + 1
+	return i
+}
+
+// put overwrites slot i, growing the slot array with holes as needed,
+// and returns the previous reference. The caller trims.
+func (o *Object) put(i int, ref Ref) Ref {
+	for len(o.slots) <= i {
+		o.slots = append(o.slots, NilRef)
+		o.holes++
+	}
+	old := o.slots[i]
+	o.slots[i] = ref
+	switch {
+	case old.Valid() && !ref.Valid():
+		o.holes++
+		if i < o.low {
+			o.low = i
+		}
+	case !old.Valid() && ref.Valid():
+		o.holes--
+	}
+	return old
+}
+
+// trim drops trailing holes, so the slot array ends at its
+// highest-index live reference.
+func (o *Object) trim() {
+	n := len(o.slots)
+	for n > 0 && !o.slots[n-1].Valid() {
+		n--
+		o.holes--
+	}
+	o.slots = o.slots[:n]
+	if o.low > n {
+		o.low = n
+	}
+}
+
+// reindex rebuilds the hole bookkeeping from the slot contents (restore).
+func (o *Object) reindex() {
+	o.holes, o.low = 0, len(o.slots)
+	for i, r := range o.slots {
+		if !r.Valid() {
+			o.holes++
+			o.low = min(o.low, i)
+		}
+	}
+	o.trim()
 }
 
 // cluster is the per-cluster bookkeeping.
@@ -243,8 +340,8 @@ func (h *Heap) allocate(cl ids.ClusterID) *Object {
 		c = h.addCluster(cl)
 	}
 	o := &Object{
-		id:      ids.ObjectID{Site: h.site, Seq: h.ctr.MintObj()},
-		cluster: cl,
+		id:   ids.ObjectID{Site: h.site, Seq: h.ctr.MintObj()},
+		home: c,
 	}
 	h.objects[o.id] = o
 	c.objects[o.id] = o
@@ -288,7 +385,7 @@ func (h *Heap) NewObjectAt(id ids.ObjectID, cl ids.ClusterID) (*Object, error) {
 	if !ok {
 		c = h.addCluster(cl)
 	}
-	o := &Object{id: id, cluster: cl}
+	o := &Object{id: id, home: c}
 	h.objects[id] = o
 	c.objects[id] = o
 	if h.track != nil {
@@ -297,12 +394,30 @@ func (h *Heap) NewObjectAt(id ids.ObjectID, cl ids.ClusterID) (*Object, error) {
 	return o, nil
 }
 
-// Object returns the object with the given ID, or nil.
-func (h *Heap) Object(id ids.ObjectID) *Object { return h.objects[id] }
+// Object returns the object with the given ID, or nil when there is
+// none or GGD has removed its cluster: such an object is dead and only
+// awaits the sweep, which inside a batch runs after the last op.
+func (h *Heap) Object(id ids.ObjectID) *Object {
+	if o := h.objects[id]; o != nil && !o.home.removed {
+		return o
+	}
+	return nil
+}
 
 // NumObjects returns the number of live (unswept) objects, including the
 // root object.
 func (h *Heap) NumObjects() int { return len(h.objects) }
+
+// NumSlots returns the total slot-array length over every live object:
+// holes included, so it measures the memory the slots hold, which the
+// slot rule keeps proportional to the references live objects hold.
+func (h *Heap) NumSlots() int {
+	n := 0
+	for _, o := range h.objects {
+		n += len(o.slots)
+	}
+	return n
+}
 
 // Objects returns the live objects sorted by ID (snapshot for the global
 // oracle and the trace tooling).
@@ -322,7 +437,9 @@ func (h *Heap) Clusters() []ids.ClusterID {
 	for id := range h.clusters {
 		out = append(out, id)
 	}
-	ids.SortClusters(out)
+	// Not ids.SortClusters: that insertion sort serves small sets, and
+	// this one scales with the heap (snapshot export).
+	slices.SortFunc(out, ids.ClusterID.Compare)
 	return out
 }
 
@@ -339,11 +456,10 @@ func (h *Heap) MarkEntry(obj ids.ObjectID) error {
 	if !ok {
 		return fmt.Errorf("heap %v: MarkEntry %v: %w", h.site, obj, ErrNoSuchObject)
 	}
-	c := h.clusters[o.cluster]
-	if c.removed {
-		return fmt.Errorf("heap %v: MarkEntry on %v: %w", h.site, o.cluster, ErrClusterRemoved)
+	if o.home.removed {
+		return fmt.Errorf("heap %v: MarkEntry on %v: %w", h.site, o.home.id, ErrClusterRemoved)
 	}
-	c.entries[obj] = struct{}{}
+	o.home.entries[obj] = struct{}{}
 	return nil
 }
 
@@ -361,7 +477,8 @@ func (h *Heap) Entries(cl ids.ClusterID) []ids.ObjectID {
 	return out
 }
 
-// AddRef appends ref to holder's slots and performs edge accounting,
+// AddRef stores ref in holder's lowest-index free slot (appending one
+// only when the slot array has no hole) and performs edge accounting,
 // returning the slot index. Inter-cluster additions notify Hooks.EdgeUp.
 func (h *Heap) AddRef(holder ids.ObjectID, ref Ref) (int, error) {
 	return h.AddRefIntro(holder, ref, ids.NoCluster, 0)
@@ -371,33 +488,31 @@ func (h *Heap) AddRef(holder ids.ObjectID, ref Ref) (int, error) {
 // forwarded reference is being stored, and its forwarding sequence
 // number) passed through to Hooks.EdgeUp.
 func (h *Heap) AddRefIntro(holder ids.ObjectID, ref Ref, intro ids.ClusterID, introSeq uint64) (int, error) {
-	o, ok := h.objects[holder]
-	if !ok {
+	o := h.Object(holder)
+	if o == nil {
 		return 0, fmt.Errorf("heap %v: AddRef holder %v: %w", h.site, holder, ErrNoSuchObject)
 	}
 	if !ref.Valid() {
 		return 0, fmt.Errorf("heap %v: AddRef: %w", h.site, ErrNilRef)
 	}
-	o.slots = append(o.slots, ref)
+	i := o.fill(ref)
 	h.refAdded(o, ref, intro, introSeq)
-	return len(o.slots) - 1, nil
+	return i, nil
 }
 
 // SetSlot overwrites slot i of holder (growing the slot array as needed),
-// dropping the previous reference. ref may be NilRef to clear.
+// dropping the previous reference. ref may be NilRef to clear; trailing
+// holes are then trimmed, so a later AddRef may hand out index i again.
 func (h *Heap) SetSlot(holder ids.ObjectID, i int, ref Ref) error {
-	o, ok := h.objects[holder]
-	if !ok {
+	o := h.Object(holder)
+	if o == nil {
 		return fmt.Errorf("heap %v: SetSlot holder %v: %w", h.site, holder, ErrNoSuchObject)
 	}
 	if i < 0 {
 		return fmt.Errorf("heap %v: SetSlot index %d: %w", h.site, i, ErrBadSlot)
 	}
-	for len(o.slots) <= i {
-		o.slots = append(o.slots, NilRef)
-	}
-	old := o.slots[i]
-	o.slots[i] = ref
+	old := o.put(i, ref)
+	o.trim()
 	if old.Valid() {
 		h.refDropped(o, old)
 	}
@@ -415,63 +530,54 @@ func (h *Heap) ClearSlot(holder ids.ObjectID, i int) error {
 // DropRefs drops every slot of holder that references target (mutator
 // convenience: "destroy the edge to that object").
 func (h *Heap) DropRefs(holder, target ids.ObjectID) error {
-	o, ok := h.objects[holder]
-	if !ok {
+	o := h.Object(holder)
+	if o == nil {
 		return fmt.Errorf("heap %v: DropRefs holder %v: %w", h.site, holder, ErrNoSuchObject)
 	}
 	for i, r := range o.slots {
-		if r.Obj == target {
-			o.slots[i] = NilRef
+		if r.Valid() && r.Obj == target {
+			o.put(i, NilRef)
 			h.refDropped(o, r)
 		}
 	}
+	o.trim()
 	return nil
 }
 
 func (h *Heap) refAdded(o *Object, ref Ref, intro ids.ClusterID, introSeq uint64) {
-	if ref.Cluster == o.cluster {
+	// Edges of a removed cluster were force-destroyed at removal; do not
+	// resurrect them (the objects are about to be swept).
+	if ref.Cluster == o.home.id || o.home.removed {
 		return
 	}
-	e := edge{from: o.cluster, to: ref.Cluster}
+	e := edge{from: o.home.id, to: ref.Cluster}
 	n := h.edges[e]
 	h.edges[e] = n + 1
-	if c := h.clusters[o.cluster]; c != nil && c.removed {
-		// Edges of a removed cluster were force-destroyed at removal; do
-		// not resurrect them (the objects are about to be swept).
-		return
-	}
 	// A reference into another local cluster makes its target a global
 	// root of that cluster.
 	if ref.Cluster.Site == h.site {
-		if t, ok := h.objects[ref.Obj]; ok {
-			if tc := h.clusters[t.cluster]; tc != nil && !tc.removed {
-				tc.entries[t.id] = struct{}{}
-			}
+		if t, ok := h.objects[ref.Obj]; ok && !t.home.removed {
+			t.home.entries[t.id] = struct{}{}
 		}
 	}
-	h.hooks.EdgeUp(o.cluster, ref.Cluster, n == 0, intro, introSeq)
+	h.hooks.EdgeUp(o.home.id, ref.Cluster, n == 0, intro, introSeq)
 }
 
 func (h *Heap) refDropped(o *Object, ref Ref) {
-	if ref.Cluster == o.cluster {
+	if ref.Cluster == o.home.id || o.home.removed {
 		return
 	}
-	e := edge{from: o.cluster, to: ref.Cluster}
+	e := edge{from: o.home.id, to: ref.Cluster}
 	n := h.edges[e]
 	if n <= 0 {
-		// Removal already zeroed this cluster's edges.
 		return
 	}
-	h.edges[e] = n - 1
-	if n-1 == 0 {
-		delete(h.edges, e)
-	}
-	if c := h.clusters[o.cluster]; c != nil && c.removed {
+	if n > 1 {
+		h.edges[e] = n - 1
 		return
 	}
-	if n-1 == 0 {
-		h.hooks.EdgeDown(o.cluster, ref.Cluster)
-	}
+	delete(h.edges, e)
+	h.hooks.EdgeDown(o.home.id, ref.Cluster)
 }
 
 // EdgeCount returns the reference count of the (from, to) edge.
@@ -495,8 +601,11 @@ func (h *Heap) OutEdges(from ids.ClusterID) []ids.ClusterID {
 // cleared (its global roots are discarded from the root set, §2.2) and its
 // remaining out-edges are zeroed without further Hooks notifications — the
 // caller (the GGD engine) has already shipped the bundled edge-destruction
-// messages. The objects themselves are reclaimed by the next local
-// collection.
+// messages. The objects themselves are dead from here on: the next local
+// collection reclaims them whatever still references them.
+//
+// Only the cluster's own slots are walked: every counted edge out of a
+// cluster is backed by a valid slot of one of its objects.
 func (h *Heap) RemoveCluster(cl ids.ClusterID) error {
 	c, ok := h.clusters[cl]
 	if !ok {
@@ -509,10 +618,12 @@ func (h *Heap) RemoveCluster(cl ids.ClusterID) error {
 		return nil
 	}
 	c.removed = true
-	c.entries = make(map[ids.ObjectID]struct{})
-	for e := range h.edges {
-		if e.from == cl {
-			delete(h.edges, e)
+	clear(c.entries)
+	for _, o := range c.objects {
+		for _, r := range o.slots {
+			if r.Valid() && r.Cluster != cl {
+				delete(h.edges, edge{from: cl, to: r.Cluster})
+			}
 		}
 	}
 	return nil

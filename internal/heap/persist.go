@@ -55,7 +55,7 @@ func (h *Heap) Export() Image {
 		NextClu:     clu,
 	}
 	for _, o := range h.Objects() {
-		img.Objects = append(img.Objects, ObjectImage{ID: o.id, Cluster: o.cluster, Slots: o.Slots()})
+		img.Objects = append(img.Objects, ObjectImage{ID: o.id, Cluster: o.home.id, Slots: o.Slots()})
 	}
 	for _, id := range h.Clusters() {
 		c := h.clusters[id]
@@ -111,7 +111,8 @@ func RestoreShard(hooks Hooks, img Image, ctr *Counters, withRoot bool) (*Heap, 
 		if !ok {
 			return nil, fmt.Errorf("heap: restore: object %v in unknown cluster %v", oi.ID, oi.Cluster)
 		}
-		o := &Object{id: oi.ID, cluster: oi.Cluster, slots: append([]Ref(nil), oi.Slots...)}
+		o := &Object{id: oi.ID, home: c, slots: append([]Ref(nil), oi.Slots...)}
+		o.reindex()
 		h.objects[o.id] = o
 		c.objects[o.id] = o
 	}

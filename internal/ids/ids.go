@@ -113,6 +113,18 @@ func (o ObjectID) Less(p ObjectID) bool {
 	return o.Seq < p.Seq
 }
 
+// Compare returns -1, 0 or +1 following the Less ordering.
+func (o ObjectID) Compare(p ObjectID) int {
+	switch {
+	case o == p:
+		return 0
+	case o.Less(p):
+		return -1
+	default:
+		return 1
+	}
+}
+
 // ClusterSet is a set of cluster identifiers with deterministic snapshots.
 type ClusterSet map[ClusterID]struct{}
 

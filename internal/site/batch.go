@@ -68,10 +68,15 @@ func (r *Runtime) journalBatch(ops []wire.BatchOp) error {
 
 // applyBatchLocked applies a staged (or replayed) batch: coalescing on,
 // ops applied in order with deferred arguments resolved from earlier
-// results, acks flushed, envelopes shipped. Caller holds r.mu; the
-// batch record must already be durable (or replaying).
+// results, one settle cascade after the last op, acks flushed,
+// envelopes shipped. Every op still drains the engine, so removals and
+// GGD messages keep their per-op order; only the local collections
+// that removals call for are deferred and run once for the whole
+// batch. Caller holds r.mu; the batch record must already be durable
+// (or replaying).
 func (r *Runtime) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 	opened := r.beginCoalesceLocked()
+	r.batching = true
 	refs := make([]heap.Ref, len(ops))
 	var firstErr error
 	for i, bop := range ops {
@@ -86,6 +91,8 @@ func (r *Runtime) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 			firstErr = err
 		}
 	}
+	r.batching = false
+	r.settleLocked()
 	// Piggyback any acknowledgements the commit window owes (normally
 	// none: inbound dispatch flushes its own) onto the same envelopes.
 	r.flushAcksLocked()

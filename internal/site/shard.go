@@ -58,6 +58,7 @@ type Instance interface {
 	Checkpoint() error
 
 	NumObjects() int
+	NumSlots() int
 	HasObject(obj ids.ObjectID) bool
 	ClusterRemoved(cl ids.ClusterID) bool
 	EngineStats() core.Stats
@@ -938,6 +939,15 @@ func (s *Sharded) NumObjects() int {
 	total := 0
 	for _, r := range s.shards {
 		total += r.NumObjects()
+	}
+	return total
+}
+
+// NumSlots sums the slot counts across shards.
+func (s *Sharded) NumSlots() int {
+	total := 0
+	for _, r := range s.shards {
+		total += r.NumSlots()
 	}
 	return total
 }

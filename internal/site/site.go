@@ -187,6 +187,10 @@ type Runtime struct {
 	coalescing bool
 	coalesce   map[ids.SiteID][]netsim.Payload
 
+	// batching, set while applyBatchLocked runs the ops of a batch,
+	// defers settleLocked's collection cascade to the batch's end.
+	batching bool
+
 	// closed freezes the runtime: deliveries are dropped (tolerated
 	// loss) so introspection keeps answering from an unchanging state.
 	closed bool
@@ -565,9 +569,11 @@ func (r *Runtime) handleRefTransfer(m wire.RefTransfer) {
 // settleLocked drives removal cascades to completion: GGD removals clear
 // entry tables, the following collection destroys the last proxies, whose
 // destruction messages may remove further local clusters, and so on.
+// Inside a batch only the engine drains; applyBatchLocked runs the
+// collection cascade once, after the last op (DESIGN.md §3.3).
 func (r *Runtime) settleLocked() {
 	r.engine.Drain()
-	if !r.opts.AutoCollect {
+	if !r.opts.AutoCollect || r.batching {
 		return
 	}
 	for r.removals > 0 {
@@ -756,7 +762,8 @@ func (r *Runtime) DropRefs(holder ids.ObjectID, target heap.Ref) error {
 	return err
 }
 
-// ClearSlot drops one slot of holder.
+// ClearSlot drops one slot of holder; the index becomes reusable under
+// the heap's slot rule (package heap).
 func (r *Runtime) ClearSlot(holder ids.ObjectID, slot int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1024,15 +1031,9 @@ func (r *Runtime) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target h
 }
 
 func (r *Runtime) holds(o *heap.Object, target heap.Ref) bool {
-	for _, s := range o.Slots() {
-		if s == target {
-			return true
-		}
-	}
-	// The holder may hold a different ref to the same cluster (e.g. its
-	// own cluster's reference); sending one's own reference is always
-	// legal, mirroring the paper's "sends a reference denoting itself".
-	return target.Obj == o.ID()
+	// Sending one's own reference is always legal, mirroring the paper's
+	// "sends a reference denoting itself".
+	return target.Obj == o.ID() || o.Holds(target)
 }
 
 // Collect runs local collections until no further GGD cascade fires.
@@ -1110,6 +1111,14 @@ func (r *Runtime) NumObjects() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.heap.NumObjects()
+}
+
+// NumSlots returns the total slot-array length over the live heap
+// objects (heap.Heap.NumSlots).
+func (r *Runtime) NumSlots() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.heap.NumSlots()
 }
 
 // HasObject reports whether the object still exists.

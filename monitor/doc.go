@@ -29,6 +29,7 @@
 //
 //	causalgc_uptime_seconds            gauge    —    seconds since Attach
 //	causalgc_objects                   gauge    heap live heap objects
+//	causalgc_heap_slots                gauge    heap reference slots over live objects, holes included
 //	causalgc_clusters_removed_total    counter  ENG  clusters removed as global garbage
 //	causalgc_evaluations_total         counter  ENG  GGD closure computations
 //	causalgc_propagations_sent_total   counter  ENG  dependency vectors sent

@@ -24,6 +24,8 @@ const DefaultTraceDepth = 1024
 type Sources struct {
 	// Objects returns the live heap object count.
 	Objects func() int
+	// Slots returns the total reference-slot count over live objects.
+	Slots func() int
 	// Engine returns the GGD engine activity counters.
 	Engine func() core.Stats
 	// Frames returns the site-level retirement counters.
@@ -131,6 +133,9 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Objects is the live heap object count.
 	Objects int `json:"objects"`
+	// Slots is the total reference-slot count over live objects, holes
+	// included: with slot reuse it tracks live references, not history.
+	Slots int `json:"slots"`
 	// Engine is the GGD engine activity counters.
 	Engine core.Stats `json:"engine"`
 	// Frames is the site-level retirement counters.
@@ -311,6 +316,9 @@ func (m *Monitor) Snapshot() Snapshot {
 	}
 	if src.Objects != nil {
 		s.Objects = src.Objects()
+	}
+	if src.Slots != nil {
+		s.Slots = src.Slots()
 	}
 	if src.Engine != nil {
 		s.Engine = src.Engine()

@@ -20,6 +20,7 @@ func testSources() Sources {
 	tr := netsim.NewStats()
 	return Sources{
 		Objects: func() int { return 7 },
+		Slots:   func() int { return 9 },
 		Engine:  func() core.Stats { return core.Stats{Removed: 3, AssertResends: 2} },
 		Frames:  func() site.FrameStats { return site.FrameStats{OutboxRetained: 1, OutboxResends: 4} },
 		Depths:  func() site.Depths { return site.Depths{Outbox: 1, AssertRows: 5} },
@@ -34,7 +35,7 @@ func TestSnapshotReadsSources(t *testing.T) {
 	m := New(0)
 	m.Attach(2, testSources())
 	s := m.Snapshot()
-	if s.Site != 2 || s.Objects != 7 || s.Engine.Removed != 3 || s.Frames.OutboxResends != 4 {
+	if s.Site != 2 || s.Objects != 7 || s.Slots != 9 || s.Engine.Removed != 3 || s.Frames.OutboxResends != 4 {
 		t.Fatalf("snapshot did not read sources: %+v", s)
 	}
 	if s.Depths.AssertRows != 5 {
@@ -119,6 +120,7 @@ func TestWriteExposition(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		`causalgc_objects{site="s2"} 7`,
+		`causalgc_heap_slots{site="s2"} 9`,
 		`causalgc_clusters_removed_total{site="s2"} 3`,
 		`causalgc_resends_total{site="s2",stream="assert"} 2`,
 		`causalgc_resends_total{site="s2",stream="outbox"} 4`,

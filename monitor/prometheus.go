@@ -20,6 +20,8 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) float64 { return s.UptimeSeconds })
 	p.igauge("causalgc_objects", "Live heap objects, root object included.",
 		snaps, func(s *Snapshot) int { return s.Objects })
+	p.igauge("causalgc_heap_slots", "Reference slots over live heap objects, holes included.",
+		snaps, func(s *Snapshot) int { return s.Slots })
 
 	p.counter("causalgc_clusters_removed_total", "Clusters detected as global garbage and removed.",
 		snaps, func(s *Snapshot) int { return s.Engine.Removed })

@@ -126,6 +126,9 @@ func TestNodeMetricsEndpointAndRecovery(t *testing.T) {
 	if !strings.Contains(body, `causalgc_objects{site="s1"} 2`) {
 		t.Errorf("/metrics missing object gauge:\n%s", body)
 	}
+	if !strings.Contains(body, `causalgc_heap_slots{site="s1"} 1`) {
+		t.Errorf("/metrics missing heap slot gauge:\n%s", body)
+	}
 	if !strings.Contains(body, `causalgc_wal_appends_total{site="s1"}`) {
 		t.Errorf("/metrics missing WAL counters on a persistent node:\n%s", body)
 	}

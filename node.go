@@ -244,6 +244,7 @@ type Node struct {
 func attachMonitor(m *monitor.Monitor, rt site.Instance, pst *site.Persist, tr transport.Transport) {
 	src := monitor.Sources{
 		Objects: rt.NumObjects,
+		Slots:   rt.NumSlots,
 		Engine:  rt.EngineStats,
 		Frames:  rt.FrameStats,
 		Depths:  rt.Depths,
@@ -500,7 +501,8 @@ func (n *Node) SendRef(fromObj ObjectID, to, target Ref) error {
 	return err
 }
 
-// AddRef stores target into a new slot of holder (a local mutation).
+// AddRef stores target into a free slot of holder (a local mutation):
+// the lowest-index cleared slot, or a new one when none is free.
 func (n *Node) AddRef(holder ObjectID, target Ref) error {
 	_, err := n.applyOne(wire.OpRecord{Kind: wire.OpAddRef, Holder: holder, Target: target})
 	return err
@@ -512,7 +514,12 @@ func (n *Node) DropRefs(holder ObjectID, target Ref) error {
 	return err
 }
 
-// ClearSlot drops one slot of holder.
+// ClearSlot drops one slot of holder. Slot indices are reused: the
+// cleared index is the first a later AddRef or create under holder
+// fills (the lowest-index cleared slot always goes first), and
+// trailing cleared slots are trimmed. The index of a slot that still
+// holds a reference never changes, and the rule depends only on the
+// slot contents, so recovery hands out the same indices.
 func (n *Node) ClearSlot(holder ObjectID, slot int) error {
 	_, err := n.applyOne(wire.OpRecord{Kind: wire.OpClearSlot, Holder: holder, Slot: slot})
 	return err
